@@ -21,10 +21,8 @@ that — :func:`supports_int64_registers` spells the condition out.
 
 The three ExaLogLog hot-path entry points — :func:`exaloglog_registers`,
 :func:`exaloglog_registers_from_pairs`, :func:`merge_exaloglog_registers` —
-dispatch through the active kernel backend (:mod:`repro.backends.select`);
-the ``reference_*`` functions here are the pure-NumPy implementations the
-default backend uses and every other backend is checked bit-identical
-against.
+are the one fold every ingest path runs: in process, inside pool workers,
+and under the store's WAL replay.
 """
 
 from __future__ import annotations
@@ -55,10 +53,7 @@ _FOLD_SECONDS = _metrics.counter(
 _MERGES = _metrics.counter(
     "backend.register_merges", "Algorithm 5 register-array merges."
 )
-#: Per-backend fold counters, cached by backend name: registry lookups
-#: canonicalize labels, which is too slow for the per-batch hot path.
-#: Handles stay valid across Registry.reset() (values are zeroed in place).
-_FOLD_COUNTERS: "dict[str, _metrics.Counter]" = {}
+_FOLDS = _metrics.counter("backend.folds", "Bulk fold calls.")
 
 #: Batches are folded in chunks of this many hashes: the ~10 temporary
 #: arrays of a fold then stay cache-resident, which measures ~3x faster
@@ -98,7 +93,7 @@ def split_hashes(
     return index.astype(np.int64), k
 
 
-def reference_registers_from_pairs(
+def exaloglog_registers_from_pairs(
     index: np.ndarray, k: np.ndarray, params: ExaLogLogParams
 ) -> np.ndarray:
     """Fold ``(register, update value)`` pairs into a fresh register array.
@@ -128,24 +123,31 @@ def reference_registers_from_pairs(
     return (u << d) | low
 
 
-def reference_exaloglog_registers(
-    hashes: np.ndarray, params: ExaLogLogParams
-) -> np.ndarray:
-    """Fresh ExaLogLog register array for a hash batch (chunked fold).
-
-    Uses only reference kernels internally, so it stays a valid baseline
-    even while a different backend is active.
-    """
+def _fold(hashes: np.ndarray, params: ExaLogLogParams) -> np.ndarray:
+    """Chunk-wise fold of ``hashes`` into a fresh register array."""
     registers = None
     for chunk in _chunks(hashes):
         index, k = split_hashes(chunk, params)
-        batch = reference_registers_from_pairs(index, k, params)
+        batch = exaloglog_registers_from_pairs(index, k, params)
         if registers is None:
             registers = batch
         else:
-            registers = reference_merge_registers(registers, batch, params.d)
+            registers = _merge(registers, batch, params.d)
     if registers is None:
         registers = np.zeros(params.m, dtype=np.int64)
+    return registers
+
+
+def exaloglog_registers(hashes: np.ndarray, params: ExaLogLogParams) -> np.ndarray:
+    """Fresh ExaLogLog register array for a hash batch (chunked fold)."""
+    if not _metrics.enabled():
+        return _fold(hashes, params)
+    started = _perf_counter()
+    registers = _fold(hashes, params)
+    _FOLD_SECONDS.inc(_perf_counter() - started)
+    _FOLD_BATCH_SIZE.observe(len(hashes))
+    _HASHES_FOLDED.inc(len(hashes))
+    _FOLDS.inc()
     return registers
 
 
@@ -154,14 +156,8 @@ def exaloglog_state(hashes: np.ndarray, params: ExaLogLogParams) -> list[int]:
     return exaloglog_registers(hashes, params).tolist()
 
 
-def reference_merge_registers(
-    existing: Sequence[int], batch: np.ndarray, d: int
-) -> np.ndarray:
-    """Vectorised Algorithm 5: merge a batch register array into ``existing``.
-
-    Equivalent to ``merge_register(existing[i], batch[i], d)`` per register;
-    the result equals the state of the union of the two element streams.
-    """
+def _merge(existing: Sequence[int], batch: np.ndarray, d: int) -> np.ndarray:
+    """Algorithm 5 body; a fold's own chunk merges do not count as merges."""
     r1 = np.asarray(existing, dtype=np.int64)
     r2 = batch.astype(np.int64, copy=False)
     u1 = r1 >> d
@@ -181,73 +177,17 @@ def reference_merge_registers(
     return out
 
 
-class ReferenceBulkBackend:
-    """The pure-NumPy kernels as a backend object (the default)."""
-
-    __slots__ = ()
-    name = "numpy"
-    jit = False
-
-    def fold(self, hashes, params: ExaLogLogParams) -> np.ndarray:
-        return reference_exaloglog_registers(hashes, params)
-
-    def registers_from_pairs(self, index, k, params: ExaLogLogParams) -> np.ndarray:
-        return reference_registers_from_pairs(index, k, params)
-
-    def merge_registers(self, existing, batch, d: int) -> np.ndarray:
-        return reference_merge_registers(existing, batch, d)
-
-    def __repr__(self) -> str:
-        return "ReferenceBulkBackend()"
-
-
-# -- backend dispatch (the public hot-path entry points) ----------------------
-
-
-def _backend():
-    from repro.backends.select import active_backend
-
-    return active_backend()
-
-
-def exaloglog_registers(hashes: np.ndarray, params: ExaLogLogParams) -> np.ndarray:
-    """Fresh ExaLogLog register array for a hash batch (active backend)."""
-    backend = _backend()
-    if _metrics.enabled():
-        started = _perf_counter()
-        registers = backend.fold(hashes, params)
-        _FOLD_SECONDS.inc(_perf_counter() - started)
-        _FOLD_BATCH_SIZE.observe(len(hashes))
-        _HASHES_FOLDED.inc(len(hashes))
-        folds = _FOLD_COUNTERS.get(backend.name)
-        if folds is None:
-            folds = _FOLD_COUNTERS.setdefault(
-                backend.name,
-                _metrics.counter(
-                    "backend.folds",
-                    "Bulk folds dispatched, by kernel backend.",
-                    labels={"backend": backend.name},
-                ),
-            )
-        folds.inc()
-        return registers
-    return backend.fold(hashes, params)
-
-
-def exaloglog_registers_from_pairs(
-    index: np.ndarray, k: np.ndarray, params: ExaLogLogParams
-) -> np.ndarray:
-    """Fold ``(register, update value)`` pairs (active backend)."""
-    return _backend().registers_from_pairs(index, k, params)
-
-
 def merge_exaloglog_registers(
     existing: Sequence[int], batch: np.ndarray, d: int
 ) -> np.ndarray:
-    """Vectorised Algorithm 5 merge (active backend)."""
+    """Vectorised Algorithm 5: merge a batch register array into ``existing``.
+
+    Equivalent to ``merge_register(existing[i], batch[i], d)`` per register;
+    the result equals the state of the union of the two element streams.
+    """
     if _metrics.enabled():
         _MERGES.inc()
-    return _backend().merge_registers(existing, batch, d)
+    return _merge(existing, batch, d)
 
 
 # -- sparse-mode tokens -------------------------------------------------------

@@ -15,17 +15,14 @@ parameters on ``ExaLogLog.add_hashes``, ``DistinctCountAggregator.add_batch``
 and ``SlidingWindowDistinctCounter.add_hashes``.
 """
 
-from repro.parallel.ingest import (
-    ParallelBulkIngestor,
-    parallel_exaloglog_registers,
-    preferred_start_method,
-)
+from repro.parallel.ingest import ParallelBulkIngestor, parallel_exaloglog_registers
 from repro.parallel.pool import (
     PersistentIngestPool,
     ShmSlice,
     attach_slice,
     get_pool,
     pool_task,
+    preferred_start_method,
     shutdown_default_pool,
 )
 from repro.parallel.shard import (

@@ -39,9 +39,19 @@ the last record it could prove durable (the *durable horizon*), and a
 :class:`~repro.store.replicate.FollowerStore` deduplicates re-shipped
 records by LSN.
 
-Durability contract: a batch is durable once its WAL record is on disk
-(``fsync=True`` forces that before ``append`` returns; the default
-leaves it to the OS like most databases in ``fsync=off`` mode).
+Durability contract: :attr:`SketchStore.durable_lsn` (the durable
+horizon) is the LSN of the last record ``append`` has written and flushed
+out of this process — it survives a crash of the writer process and is
+visible to readers in other processes. What else it survives depends on
+the mode:
+
+* ``fsync=False`` (default): the record is written and flushed to the OS
+  but not synced, like most databases in ``fsync=off`` mode — a kernel
+  crash or power loss can drop records past the last sync.
+* ``fsync=True``: each record is synced with ``os.fsync`` before
+  ``append`` returns, so the horizon survives power loss too.
+
+:meth:`SketchStore.close` syncs the WAL in both modes.
 :meth:`SketchStore.open` replays the WAL tail on top of the newest
 snapshot; a torn final record (crash mid-write) is truncated away —
 **unless** the store is opened with ``read_only=True``, which must never
@@ -655,7 +665,12 @@ class SketchStore:
 
     @property
     def durable_lsn(self) -> int:
-        """LSN of the last record known durable (the durable horizon)."""
+        """LSN of the last appended record (the durable horizon).
+
+        Under ``fsync=False`` that record is written and flushed to the OS
+        but not synced; under ``fsync=True`` it was synced with ``os.fsync``
+        before its ``append`` returned.
+        """
         return self._durable_lsn
 
     @property

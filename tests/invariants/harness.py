@@ -193,20 +193,6 @@ def build_parallel(scenario: Scenario, workers: int = 2) -> DistinctCountAggrega
     return aggregator
 
 
-def build_fast_backend(scenario: Scenario, backend: str = "fast") -> DistinctCountAggregator:
-    """Kernel-backend path: the bulk builder under a non-default backend.
-
-    ``backend`` is a :func:`repro.backends.set_backend` name — ``"fast"``
-    exercises the cache-blocked NumPy kernels (and the JIT kernels where
-    numba is installed); the selection is scoped so other builders keep
-    running on whatever the session default is.
-    """
-    from repro.backends import use_backend
-
-    with use_backend(backend):
-        return build_bulk(scenario)
-
-
 def build_warm_pool(scenario: Scenario, workers: int = 2) -> DistinctCountAggregator:
     """Persistent-pool path: parallel folds over pre-warmed shared workers.
 

@@ -11,6 +11,8 @@ from repro.core.params import make_params
 from repro.parallel import (
     ParallelBulkIngestor,
     parallel_exaloglog_registers,
+    parallel_group_fold,
+    parallel_spill_write,
     preferred_start_method,
 )
 from repro.windowed import SlidingWindowDistinctCounter
@@ -80,14 +82,6 @@ class TestBitIdentical:
         merged = merge_exaloglog_registers(parallel.registers, batch, PARAMS.d)
         assert merged.tolist() == list(sequential.registers)
 
-    def test_spawn_start_method(self):
-        hashes = _hashes(8_000, seed=5)
-        expected = exaloglog_registers(hashes, PARAMS)
-        ingestor = ParallelBulkIngestor(
-            PARAMS, 2, chunk=1 << 12, start_method="spawn"
-        )
-        assert np.array_equal(ingestor.registers(hashes), expected)
-
     def test_small_batch_degenerates_in_process(self):
         # One slice: no pool, same result.
         hashes = _hashes(100, seed=9)
@@ -111,9 +105,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             ParallelBulkIngestor(wide, 2)
 
-    def test_bad_start_method(self):
-        with pytest.raises(ValueError):
-            ParallelBulkIngestor(PARAMS, 2, start_method="telepathy")
+    def test_start_method_is_a_pool_option_only(self, tmp_path):
+        # The start method belongs to PersistentIngestPool; no call takes it.
+        with pytest.raises(TypeError):
+            ParallelBulkIngestor(PARAMS, 2, start_method="spawn")
+        with pytest.raises(TypeError):
+            parallel_exaloglog_registers(_hashes(10), PARAMS, 2, start_method="spawn")
+        with pytest.raises(TypeError):
+            parallel_group_fold((2, 20, 8, False, 0), [], 2, start_method="spawn")
+        with pytest.raises(TypeError):
+            parallel_spill_write([], tmp_path, 4, 2, start_method="spawn")
 
     def test_preferred_start_method_is_available(self):
         assert preferred_start_method() in multiprocessing.get_all_start_methods()

@@ -17,7 +17,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.backends.bulk import reference_exaloglog_registers
+from repro.aggregate import DistinctCountAggregator
+from repro.backends.bulk import exaloglog_registers
+from repro.core.exaloglog import ExaLogLog
 from repro.core.params import ExaLogLogParams
 from repro.parallel.pool import (
     PersistentIngestPool,
@@ -25,6 +27,8 @@ from repro.parallel.pool import (
     attach_slice,
     pool_task,
 )
+from repro.parallel.shard import _partition_indices
+from repro.store import SpilledGroupBy
 
 PARAMS = ExaLogLogParams(2, 16, 8)
 
@@ -74,7 +78,7 @@ def _task_crash_always(payload):
 def test_fold_matches_sequential(pool):
     hashes = random_hashes(1, 20000)
     folded = pool.fold_registers(hashes, halves(len(hashes)), PARAMS, workers=2)
-    assert np.array_equal(folded, reference_exaloglog_registers(hashes, PARAMS))
+    assert np.array_equal(folded, exaloglog_registers(hashes, PARAMS))
 
 
 def test_workers_survive_across_calls(pool):
@@ -86,7 +90,7 @@ def test_workers_survive_across_calls(pool):
         hashes = random_hashes(seed, 5000)
         folded = pool.fold_registers(hashes, halves(len(hashes)), PARAMS, workers=2)
         assert np.array_equal(
-            folded, reference_exaloglog_registers(hashes, PARAMS)
+            folded, exaloglog_registers(hashes, PARAMS)
         )
     assert sorted(pool.worker_pids()) == pids  # same processes served all calls
     assert pool.spawn_count == spawned  # ... without a single respawn
@@ -128,7 +132,7 @@ def test_idle_reap_retires_workers():
         hashes = random_hashes(5, 4000)
         folded = pool.fold_registers(hashes, halves(len(hashes)), PARAMS, workers=2)
         assert np.array_equal(
-            folded, reference_exaloglog_registers(hashes, PARAMS)
+            folded, exaloglog_registers(hashes, PARAMS)
         )
         assert pool.spawn_count > spawned
     finally:
@@ -150,7 +154,7 @@ def test_killed_idle_worker_respawns(pool):
         time.sleep(0.02)
     hashes = random_hashes(7, 8000)
     folded = pool.fold_registers(hashes, halves(len(hashes)), PARAMS, workers=2)
-    assert np.array_equal(folded, reference_exaloglog_registers(hashes, PARAMS))
+    assert np.array_equal(folded, exaloglog_registers(hashes, PARAMS))
     assert pool.spawn_count == spawned + 1  # exactly the victim was replaced
     assert len(pool.worker_pids()) == 2
 
@@ -210,7 +214,7 @@ def test_non_retryable_crash_raises(tmp_path):
 
 def test_worker_exception_surfaces(pool):
     with pytest.raises(RuntimeError, match="pool task"):
-        pool.map("fold", [{"hashes": None, "params": None, "backend": "numpy"}])
+        pool.map("fold", [{"hashes": None, "params": None}])
 
 
 # -- fork safety ---------------------------------------------------------------
@@ -237,7 +241,7 @@ def test_fork_after_pool_resets_child_state():
                     hashes, halves(len(hashes)), PARAMS, workers=2
                 )
                 if not np.array_equal(
-                    folded, reference_exaloglog_registers(hashes, PARAMS)
+                    folded, exaloglog_registers(hashes, PARAMS)
                 ):
                     status = 3
                 pool.shutdown()
@@ -251,31 +255,65 @@ def test_fork_after_pool_resets_child_state():
         hashes = random_hashes(13, 3000)
         folded = pool.fold_registers(hashes, halves(len(hashes)), PARAMS, workers=2)
         assert np.array_equal(
-            folded, reference_exaloglog_registers(hashes, PARAMS)
+            folded, exaloglog_registers(hashes, PARAMS)
         )
     finally:
         pool.shutdown()
 
 
-# -- spawn transport -----------------------------------------------------------
+# -- spawn transport: one case per wired entry point ---------------------------
 
 
-def test_spawn_pool_fold_identical():
-    pool = PersistentIngestPool(workers=2, start_method="spawn", idle_timeout=0.0)
-    try:
-        hashes = random_hashes(17, 10000)
-        folded = pool.fold_registers(hashes, halves(len(hashes)), PARAMS, workers=2)
-        assert np.array_equal(
-            folded, reference_exaloglog_registers(hashes, PARAMS)
+@pytest.fixture(scope="module")
+def spawn_pool():
+    instance = PersistentIngestPool(
+        workers=2, start_method="spawn", idle_timeout=0.0
+    )
+    yield instance
+    instance.shutdown()
+
+
+def keyed_segments(seed: int):
+    """A group-by batch as the aggregator scatters it, plus its reference."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    groups = rng.integers(0, 60, size=4000).astype(np.int64)
+    items = rng.integers(0, 1 << 63, size=4000, dtype=np.int64)
+    reference = DistinctCountAggregator(2, 20, 8).add_batch(groups, items)
+    return reference, reference._segments(groups, items)
+
+
+def test_spawn_pool_fold_identical(spawn_pool):
+    hashes = random_hashes(17, 10000)
+    sequential = ExaLogLog.from_params(PARAMS).add_hashes(hashes).to_bytes()
+    for _ in range(2):
+        folded = spawn_pool.fold_registers(
+            hashes, halves(len(hashes)), PARAMS, workers=2
         )
-        pids = sorted(pool.worker_pids())
-        folded = pool.fold_registers(hashes, halves(len(hashes)), PARAMS, workers=2)
-        assert np.array_equal(
-            folded, reference_exaloglog_registers(hashes, PARAMS)
-        )
-        assert sorted(pool.worker_pids()) == pids  # spawn workers persist too
-    finally:
-        pool.shutdown()
+        pooled = ExaLogLog.from_registers(PARAMS, folded.tolist())
+        assert pooled.to_bytes() == sequential
+        pids = sorted(spawn_pool.worker_pids())
+    assert sorted(spawn_pool.worker_pids()) == pids  # spawn workers persist too
+
+
+def test_spawn_pool_group_fold_identical(spawn_pool):
+    reference, segments = keyed_segments(19)
+    shards = _partition_indices(segments, 2)
+    blobs = spawn_pool.group_fold(reference._config, segments, shards, workers=2)
+    merged = DistinctCountAggregator(2, 20, 8)
+    for blob in blobs:
+        merged.merge_inplace(DistinctCountAggregator.from_bytes(blob))
+    assert merged.to_bytes() == reference.to_bytes()
+
+
+def test_spawn_pool_spill_identical(spawn_pool, tmp_path):
+    reference, segments = keyed_segments(23)
+    shards = _partition_indices(segments, 2)
+    written = spawn_pool.spill(
+        str(tmp_path / "s"), 4, segments, shards, "xtest", workers=2
+    )
+    assert written == len(segments)
+    spill = SpilledGroupBy(tmp_path / "s", p=8, partitions=4)
+    assert spill.to_aggregator().to_bytes() == reference.to_bytes()
 
 
 # -- shared-memory descriptors -------------------------------------------------

@@ -1,5 +1,7 @@
 """SketchStore: WAL + snapshot durability, recovery, compaction."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,27 @@ class TestRecovery:
             store.append_hashes("DE", _hashes(7, 50))
         with SketchStore.open(tmp_path / "s") as recovered:
             assert len(recovered) == 1
+
+    @pytest.mark.parametrize("fsync", [False, True])
+    def test_fsync_calls_per_append(self, tmp_path, monkeypatch, fsync):
+        """fsync=True syncs each record before append returns; the default
+        only flushes to the OS. close() syncs the WAL in both modes."""
+        store = SketchStore.open(tmp_path / "s", fsync=fsync)
+        calls = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            calls.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        appends = 5
+        for index in range(appends):
+            store.append_hashes(f"g{index}", _hashes(index, 20))
+        assert len(calls) == (appends if fsync else 0)
+        assert store.durable_lsn == appends
+        store.close()
+        assert len(calls) == (appends if fsync else 0) + 1
 
     def test_sketch_records_replay(self, tmp_path):
         bucket = ExaLogLog(2, 20, 8).add_hashes(_hashes(8, 300))
