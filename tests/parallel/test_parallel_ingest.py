@@ -10,6 +10,7 @@ from repro.core.exaloglog import ExaLogLog
 from repro.core.params import make_params
 from repro.parallel import (
     ParallelBulkIngestor,
+    PersistentIngestPool,
     parallel_exaloglog_registers,
     parallel_group_fold,
     parallel_spill_write,
@@ -81,6 +82,16 @@ class TestBitIdentical:
 
         merged = merge_exaloglog_registers(parallel.registers, batch, PARAMS.d)
         assert merged.tolist() == list(sequential.registers)
+
+    def test_spawn_start_method(self):
+        hashes = _hashes(8_000, seed=5)
+        expected = exaloglog_registers(hashes, PARAMS)
+        pool = PersistentIngestPool(workers=2, start_method="spawn", idle_timeout=0.0)
+        try:
+            ingestor = ParallelBulkIngestor(PARAMS, 2, chunk=1 << 12, pool=pool)
+            assert np.array_equal(ingestor.registers(hashes), expected)
+        finally:
+            pool.shutdown()
 
     def test_small_batch_degenerates_in_process(self):
         # One slice: no pool, same result.
