@@ -14,8 +14,7 @@ Quickstart::
         sketch.add(item)
     print(round(sketch.estimate()))   # ~2
 
-See README.md for the architecture overview and DESIGN.md for the
-paper-to-module map.
+See README.md for the architecture overview and the paper-to-module map.
 """
 
 from repro.backends import BulkBackend

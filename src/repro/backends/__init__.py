@@ -19,8 +19,10 @@ from repro.backends.bulk import (
     exaloglog_registers,
     exaloglog_registers_from_pairs,
     exaloglog_state,
+    fold_small_batch,
     hyperloglog_registers,
     hyperloglog_state,
+    is_small_batch,
     merge_exaloglog_registers,
     pcsa_bitmaps,
     pcsa_state,
@@ -41,8 +43,10 @@ __all__ = [
     "exaloglog_registers",
     "exaloglog_registers_from_pairs",
     "exaloglog_state",
+    "fold_small_batch",
     "hyperloglog_registers",
     "hyperloglog_state",
+    "is_small_batch",
     "merge_exaloglog_registers",
     "nlz64_array",
     "ntz64_array",

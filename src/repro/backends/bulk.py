@@ -22,7 +22,9 @@ that — :func:`supports_int64_registers` spells the condition out.
 The three ExaLogLog hot-path entry points — :func:`exaloglog_registers`,
 :func:`exaloglog_registers_from_pairs`, :func:`merge_exaloglog_registers` —
 are the one fold every ingest path runs: in process, inside pool workers,
-and under the store's WAL replay.
+and under the store's WAL replay. Batches below the small-batch crossover
+(:func:`is_small_batch`) take the scalar update instead
+(:func:`fold_small_batch`).
 """
 
 from __future__ import annotations
@@ -61,6 +63,15 @@ _FOLDS = _metrics.counter("backend.folds", "Bulk fold calls.")
 #: O(m) and exact, so chunking never changes the resulting state).
 BULK_CHUNK = 1 << 18
 
+#: Batches below this many hashes skip the vectorised paths. At p = 10 a
+#: NumPy fold costs ~100-150 µs per call whatever its size (m-wide
+#: temporaries, the Algorithm 5 merge, ``tolist``) and sparse tokenising
+#: ~20-40 µs, against ~0.6 µs per hash for the scalar update, so the
+#: scalar path wins up to ~180 hashes (dense) and ~60 (sparse); one
+#: constant splits the difference. Like chunking, the crossover never
+#: changes the resulting state.
+_SMALL_BATCH = 128
+
 
 def _chunks(hashes: np.ndarray):
     if len(hashes) <= BULK_CHUNK:
@@ -68,6 +79,11 @@ def _chunks(hashes: np.ndarray):
     else:
         for start in range(0, len(hashes), BULK_CHUNK):
             yield hashes[start : start + BULK_CHUNK]
+
+
+def is_small_batch(hashes) -> bool:
+    """Whether ``hashes`` is below the scalar/vectorised crossover."""
+    return len(hashes) < _SMALL_BATCH
 
 
 def supports_int64_registers(params: ExaLogLogParams) -> bool:
@@ -138,17 +154,37 @@ def _fold(hashes: np.ndarray, params: ExaLogLogParams) -> np.ndarray:
     return registers
 
 
+def _observe_fold(count: int, started: float) -> None:
+    _FOLD_SECONDS.inc(_perf_counter() - started)
+    _FOLD_BATCH_SIZE.observe(count)
+    _HASHES_FOLDED.inc(count)
+    _FOLDS.inc()
+
+
 def exaloglog_registers(hashes: np.ndarray, params: ExaLogLogParams) -> np.ndarray:
     """Fresh ExaLogLog register array for a hash batch (chunked fold)."""
     if not _metrics.enabled():
         return _fold(hashes, params)
     started = _perf_counter()
     registers = _fold(hashes, params)
-    _FOLD_SECONDS.inc(_perf_counter() - started)
-    _FOLD_BATCH_SIZE.observe(len(hashes))
-    _HASHES_FOLDED.inc(len(hashes))
-    _FOLDS.inc()
+    _observe_fold(len(hashes), started)
     return registers
+
+
+def fold_small_batch(sketch, hashes: np.ndarray) -> None:
+    """Fold a batch below the crossover: Algorithm 2 per hash, in place.
+
+    Runs ``sketch.add_hash`` for each hash, so the state is the scalar
+    loop's by construction. Counted in the fold metrics like a
+    vectorised fold.
+    """
+    add_hash = sketch.add_hash
+    observed = _metrics.enabled()
+    started = _perf_counter() if observed else 0.0
+    for hash_value in hashes.tolist():
+        add_hash(hash_value)
+    if observed:
+        _observe_fold(len(hashes), started)
 
 
 def exaloglog_state(hashes: np.ndarray, params: ExaLogLogParams) -> list[int]:

@@ -8,8 +8,8 @@ that operation set plus the two size accounts the paper reports:
     honest byte count of :meth:`to_bytes` output.
 ``memory_bytes``
     modelled in-memory footprint (payload + declared auxiliary fields +
-    :data:`OBJECT_OVERHEAD_BYTES`); see DESIGN.md Sec. 3 for why Java heap
-    sizes are modelled rather than measured.
+    :data:`OBJECT_OVERHEAD_BYTES`); README "Substitutions and size
+    modelling" says why Java heap sizes are modelled rather than measured.
 """
 
 from __future__ import annotations

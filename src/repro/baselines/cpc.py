@@ -1,8 +1,8 @@
 """CPC-style compressed probabilistic counting (Table 2 row "CPC").
 
-Substitution notice (DESIGN.md Sec. 3): Lang's CPC sketch, as shipped in
-Apache DataSketches, is a large system (window offsets, pair tables,
-custom codes). Per the paper's own Sec. 2.5, CPC stores the same
+Substitution notice (README "Substitutions and size modelling"): Lang's
+CPC sketch, as shipped in Apache DataSketches, is a large system (window
+offsets, pair tables, custom codes). Per the paper's own Sec. 2.5, CPC stores the same
 information as PCSA / ELL(0, 64); what makes it special is that its
 *serialized* form is entropy coded while its in-memory form stays an
 uncompressed, more-than-twice-larger working state, and serialization is

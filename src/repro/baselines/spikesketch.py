@@ -1,11 +1,11 @@
 """SpikeSketch behavioural model (Du et al., INFOCOM 2023; Table 2 row).
 
-Substitution notice (DESIGN.md Sec. 3): the SpikeSketch reference
-implementation is C++-only and, per the paper's footnotes, not usable for
-space measurements ("empirical values are meaningless as the reference
-implementation is not optimized"); the paper itself uses register-array
-lower bounds. This model implements the documented externals the paper's
-evaluation interacts with:
+Substitution notice (README "Substitutions and size modelling"): the
+SpikeSketch reference implementation is C++-only and, per the paper's
+footnotes, not usable for space measurements ("empirical values are
+meaningless as the reference implementation is not optimized"); the
+paper itself uses register-array lower bounds. This model implements
+the documented externals the paper's evaluation interacts with:
 
 * geometrically distributed update values with success probability 3/4
   (base-4 levels), per Sec. 1.1;

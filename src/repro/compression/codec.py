@@ -4,7 +4,8 @@ Two codecs built on the range coder:
 
 * :func:`compress_bitmaps` / :func:`decompress_bitmaps` — PCSA-style level
   bitmaps under the Poisson per-bit model; this is what gives the CPC
-  surrogate its small serialized size (DESIGN.md Sec. 3.1).
+  surrogate its small serialized size (README "Substitutions and size
+  modelling").
 * :func:`compress_registers` / :func:`decompress_registers` — ExaLogLog
   register arrays, coded bit by bit under the exact Sec. 3.1 register PMF
   factorisation: the maximum ``u`` is coded as a unary-style sequence of

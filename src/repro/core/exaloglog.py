@@ -15,9 +15,12 @@ Typical use::
         sketch.add(item)
     print(sketch.estimate())
 
-Hot-path note: registers live in a plain Python list; the bit-exact packed
-layout (two 28-bit registers per 7 bytes for ELL(2,20), ...) is produced on
-:meth:`to_bytes`, so serialized sizes match the paper's accounting.
+Hot-path note: registers live in a plain Python list, which the scalar
+Algorithm 2 update indexes fastest; the bit-exact packed layout (two
+28-bit registers per 7 bytes for ELL(2,20), ...) is produced on
+:meth:`to_bytes` by the NumPy codec of
+:class:`~repro.storage.packed.PackedArray`, so serialized sizes match the
+paper's accounting.
 """
 
 from __future__ import annotations
@@ -99,11 +102,12 @@ class ExaLogLog:
         if len(registers) != params.m:
             raise ValueError(f"expected {params.m} registers, got {len(registers)}")
         sketch = cls._empty(params)
+        registers = list(registers)
         maximum = params.max_register_value
-        for r in registers:
-            if not 0 <= r <= maximum:
-                raise ValueError(f"register value {r} out of range [0, {maximum}]")
-        sketch._registers = list(registers)
+        if min(registers) < 0 or max(registers) > maximum:
+            bad = next(r for r in registers if not 0 <= r <= maximum)
+            raise ValueError(f"register value {bad} out of range [0, {maximum}]")
+        sketch._registers = registers
         return sketch
 
     # -- core properties -------------------------------------------------------
@@ -202,7 +206,10 @@ class ExaLogLog:
         Inserts are commutative and idempotent, so the batch folds
         set-wise into a register array and merges via Algorithm 5; the
         result is bit-identical to the sequential :meth:`add_hash` loop
-        (the :class:`repro.backends.BulkBackend` contract).
+        (the :class:`repro.backends.BulkBackend` contract). Batches below
+        the crossover (:func:`repro.backends.is_small_batch`) run the
+        :meth:`add_hash` update per hash instead: a fold's fixed cost is
+        m-wide, and such a batch touches only a few registers.
 
         ``workers`` opts into the process-pool fan-out of
         :class:`repro.parallel.ParallelBulkIngestor`: chunk-aligned
@@ -224,6 +231,9 @@ class ExaLogLog:
             from repro.parallel import ParallelBulkIngestor
 
             batch = ParallelBulkIngestor(params, workers).registers(hashes)
+        elif backends.is_small_batch(hashes):
+            backends.fold_small_batch(self, hashes)
+            return self
         else:
             batch = backends.exaloglog_registers(hashes, params)
         if any(self._registers):
@@ -363,8 +373,9 @@ class ExaLogLog:
     def memory_bytes(self) -> int:
         """Modelled in-memory footprint: packed registers + object overhead.
 
-        (See DESIGN.md Sec. 3 on modelling JVM-comparable sizes; ExaLogLog
-        allocates nothing beyond its fixed register array.)
+        (README "Substitutions and size modelling" explains why sizes are
+        modelled; ExaLogLog allocates nothing beyond its fixed register
+        array.)
         """
         from repro.baselines.base import OBJECT_OVERHEAD_BYTES
 

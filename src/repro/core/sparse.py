@@ -130,7 +130,10 @@ class SparseExaLogLog:
         token's representative hash produces exactly the original hash's
         state transition (``p + t <= v``), so it does not matter which
         prefix of the stream was recorded as tokens — collected tokens
-        and the raw remainder replay to the same registers.
+        and the raw remainder replay to the same registers. Batches below
+        the crossover (:func:`repro.backends.is_small_batch`) tokenise
+        with :func:`hash_to_token` per hash; the set union and the
+        densification check are the same for both.
         """
         from repro import backends
         import numpy as np
@@ -144,16 +147,21 @@ class SparseExaLogLog:
             return self
 
         break_even = self.break_even_tokens
-        # Decide densification without tokenising/deduplicating huge
-        # batches: when a prefix already holds more distinct tokens than
-        # break-even, the union must cross; only duplicate-heavy batches
-        # pay for the full tokenise + unique pass.
-        limit = 4 * (break_even + 1)
-        distinct = np.unique(backends.tokenize_hashes(hashes[:limit], self._v))
-        if len(distinct) <= break_even and len(hashes) > limit:
-            distinct = np.unique(backends.tokenize_hashes(hashes, self._v))
+        v = self._v
+        if backends.is_small_batch(hashes):
+            distinct = {hash_to_token(h, v) for h in hashes.tolist()}
+        else:
+            # Decide densification without tokenising/deduplicating huge
+            # batches: when a prefix already holds more distinct tokens
+            # than break-even, the union must cross; only duplicate-heavy
+            # batches pay for the full tokenise + unique pass.
+            limit = 4 * (break_even + 1)
+            distinct = np.unique(backends.tokenize_hashes(hashes[:limit], v))
+            if len(distinct) <= break_even and len(hashes) > limit:
+                distinct = np.unique(backends.tokenize_hashes(hashes, v))
+            distinct = distinct.tolist()
         if len(distinct) <= break_even:
-            self._tokens.update(distinct.tolist())
+            self._tokens.update(distinct)
             if len(self._tokens) <= break_even:
                 return self
             hashes = None  # the token set already absorbed the batch

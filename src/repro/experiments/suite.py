@@ -145,7 +145,7 @@ def table2_suite() -> list[AlgorithmSpec]:
             lambda: CpcSketch(10),
             _cpc_loader(10),
             False,
-            "apache/datasketches CPC (surrogate, see DESIGN.md)",
+            "apache/datasketches CPC (surrogate, see README)",
         ),
         AlgorithmSpec(
             "ULL (ML, p=10)",
@@ -166,7 +166,7 @@ def table2_suite() -> list[AlgorithmSpec]:
             lambda: SpikeSketch(128),
             _spike_loader(128),
             True,
-            "duyang92/SpikeSketch (behavioural model, see DESIGN.md)",
+            "duyang92/SpikeSketch (behavioural model, see README)",
         ),
         AlgorithmSpec(
             "ELL (t=2,d=24,p=8)",

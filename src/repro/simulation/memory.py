@@ -4,8 +4,9 @@ The paper reports two sizes per algorithm: the total in-memory allocation
 and the serialized size, and derives the empirical MVP
 ``(size in bits) * RMSE**2`` from each (Eq. (1)). Python object graphs are
 not comparable with JVM heaps, so the library models in-memory size as
-payload + declared auxiliary fields + a fixed object overhead (see
-DESIGN.md Sec. 3); serialized sizes are exact byte counts.
+payload + declared auxiliary fields + a fixed object overhead (README
+"Substitutions and size modelling"); serialized sizes are exact byte
+counts.
 """
 
 from __future__ import annotations

@@ -4,16 +4,28 @@ The paper stores registers "densely packed in a bit array" — e.g. two
 28-bit ELL(2, 20) registers per 7 bytes, 6-bit HyperLogLog registers at
 4/3 bytes per register pair, 3-bit HyperLogLogLog registers, and so on.
 
-:class:`PackedArray` reproduces that layout exactly. The hot paths of the
-sketches keep registers in a plain Python list (CPython attribute/array
-access dominates bit twiddling anyway — see DESIGN.md), and use this class
-for the serialized representation, whose byte sizes therefore match the
-paper's serialization-size accounting bit for bit.
+:class:`PackedArray` reproduces that layout exactly. The sketches keep
+registers in a plain Python list (their scalar updates index it fastest)
+and use this class for the serialized representation, whose byte sizes
+therefore match the paper's serialization-size accounting bit for bit.
+
+The bulk codec (:meth:`PackedArray.from_values` / :meth:`PackedArray.to_list`)
+is NumPy for widths up to 63 bits: each value becomes a row of 64 bits
+(``np.unpackbits`` of its big-endian bytes), the top ``64 - width``
+columns are dropped (or restored as zeros) and the rest is one
+``np.packbits`` call, ~10x faster than a Python loop per register for a
+1024-register sketch. Wider registers (up to 128 bits, e.g. the 70-bit
+ELL(0, 64)) take the big-integer path.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+
+import numpy as np
+
+#: Widest register the NumPy codec handles (values must fit int64).
+_NUMPY_WIDTH = 63
 
 
 class PackedArray:
@@ -118,6 +130,13 @@ class PackedArray:
         count = self._count
         if count == 0:
             return []
+        if width <= _NUMPY_WIDTH:
+            bits = np.unpackbits(
+                np.frombuffer(self._data, dtype=np.uint8), count=count * width
+            )
+            rows = np.zeros((count, 64), dtype=np.uint8)
+            rows[:, 64 - width :] = bits.reshape(count, width)
+            return np.packbits(rows, axis=1).view(">u8").ravel().tolist()
         window = int.from_bytes(self._data, "big")
         total_bits = len(self._data) * 8
         mask = (1 << width) - 1
@@ -138,6 +157,17 @@ class PackedArray:
         array = cls(width, count)
         if count == 0:
             return array
+        if width <= _NUMPY_WIDTH:
+            try:
+                numbers = np.array(values, dtype=np.int64)
+            except OverflowError:  # out of range; the loop below names it
+                numbers = None
+            in_range = numbers is not None and numbers.min() >= 0
+            if in_range and not numbers.max() >> width:
+                octets = numbers.astype(">u8").view(np.uint8).reshape(count, 8)
+                rows = np.unpackbits(octets, axis=1)
+                array._data[:] = np.packbits(rows[:, 64 - width :]).tobytes()
+                return array
         mask = (1 << width) - 1
         window = 0
         for value in values:

@@ -18,10 +18,18 @@ from repro.baselines.hyperloglog import HyperLogLog, MartingaleHyperLogLog
 from repro.baselines.pcsa import PCSA
 from repro.baselines.spikesketch import SpikeSketch
 from repro.baselines.ultraloglog import ExtendedHyperLogLog, UltraLogLog
-from repro.backends import supports_bulk
+from repro.backends import (
+    exaloglog_registers,
+    merge_exaloglog_registers,
+    supports_bulk,
+    token_hashes,
+    tokenize_hashes,
+)
+from repro.backends.bulk import _SMALL_BATCH
 from repro.core.exaloglog import ExaLogLog
 from repro.core.martingale import MartingaleExaLogLog
 from repro.core.sparse import SparseExaLogLog
+from repro.core.token import hash_to_token, token_to_hash
 from tests.conftest import SMALL_PARAMS
 
 FACTORIES = [
@@ -199,3 +207,111 @@ def test_exact_counter_mixed_scalar_bulk_canonicalizes():
     counter.add_hashes(np.array([-1], dtype=np.int64))
     counter.add_hashes(np.array([(1 << 64) - 1], dtype=np.uint64))
     assert counter.estimate() == 1.0
+
+
+class TestSmallBatchCrossover:
+    """Batches on both sides of the scalar/vectorised crossover agree.
+
+    ``add_hashes`` no longer reaches the NumPy fold below the crossover,
+    so every case is also checked against a direct call of the fold
+    (``exaloglog_registers`` + ``merge_exaloglog_registers``), which keeps
+    the fold itself tested at tiny sizes.
+    """
+
+    C = _SMALL_BATCH
+    SIZES = (0, 1, 2, C - 1, C, C + 1, 4 * C)
+
+    @staticmethod
+    def dense_start(state: str, p: int) -> ExaLogLog:
+        sketch = ExaLogLog(2, 20, p)
+        if state == "populated":
+            sketch.add_hashes(random_stream(70 + p, 40 * (1 << p)))
+        return sketch
+
+    @staticmethod
+    def sparse_start(state: str, p: int) -> SparseExaLogLog:
+        sketch = SparseExaLogLog(2, 20, p)
+        break_even = sketch.break_even_tokens
+        if state == "populated":
+            sketch.add_hashes(random_stream(80 + p, break_even // 2))
+        elif state == "mid_densify":
+            while sketch.token_count < break_even:
+                sketch.add_hash(int(random_stream(81 + sketch.token_count, 1)[0]))
+        elif state == "over_break_even":
+            # Serialization never densifies, so a decoded token set may
+            # hold more tokens than break-even.
+            sketch._tokens.update(
+                hash_to_token(h, sketch.v)
+                for h in random_stream(82 + p, break_even + 5).tolist()
+            )
+            sketch = SparseExaLogLog.from_bytes(sketch.to_bytes())
+            assert sketch.is_sparse and sketch.token_count > break_even
+        assert sketch.is_sparse
+        return sketch
+
+    @staticmethod
+    def batch(state: str, start, n: int, p: int) -> np.ndarray:
+        if state == "over_break_even":
+            # Only duplicates: representative hashes of collected tokens.
+            tokens = sorted(start.tokens)
+            return np.array(
+                [token_to_hash(tokens[i % len(tokens)], start.v) for i in range(n)],
+                dtype=np.uint64,
+            )
+        return random_stream(90 + n + p, n)
+
+    @staticmethod
+    def folded(registers, hashes, params) -> ExaLogLog:
+        batch = exaloglog_registers(hashes, params)
+        merged = merge_exaloglog_registers(list(registers), batch, params.d)
+        return ExaLogLog.from_registers(params, merged.tolist())
+
+    @pytest.mark.parametrize("p", [4, 10])
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("state", ["empty", "populated"])
+    def test_dense(self, state, n, p):
+        start = self.dense_start(state, p)
+        hashes = random_stream(90 + n + p, n)
+        expected = start.copy()
+        for hash_value in hashes.tolist():
+            expected.add_hash(hash_value)
+        got = start.copy().add_hashes(hashes)
+        assert got.to_bytes() == expected.to_bytes()
+        assert got.to_bytes() == self.folded(start.registers, hashes, start.params).to_bytes()
+        assert np.array_equal(got.registers_array(), expected.registers_array())
+
+    @pytest.mark.parametrize("p", [4, 10])
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize(
+        "state", ["empty", "populated", "mid_densify", "over_break_even"]
+    )
+    def test_sparse(self, state, n, p):
+        start = self.sparse_start(state, p)
+        hashes = self.batch(state, start, n, p)
+        got = SparseExaLogLog.from_bytes(start.to_bytes()).add_hashes(hashes)
+
+        scalar = SparseExaLogLog.from_bytes(start.to_bytes())
+        for hash_value in hashes.tolist():
+            scalar.add_hash(hash_value)
+        assert got.copy().densify().to_bytes() == scalar.copy().densify().to_bytes()
+
+        # The bulk mode rule: the union of the collected and the batch's
+        # tokens stays sparse iff it holds at most break-even tokens (an
+        # empty batch changes nothing). Vectorised tokens, NumPy fold.
+        union = set(start.tokens)
+        union.update(tokenize_hashes(hashes, start.v).tolist())
+        if n and len(union) > start.break_even_tokens:
+            replay = token_hashes(np.array(sorted(start.tokens), dtype=np.int64), start.v)
+            dense = self.folded([0] * start.params.m, replay, start.params)
+            dense = self.folded(dense.registers, hashes, start.params)
+            assert not got.is_sparse
+            assert got.densify().to_bytes() == dense.to_bytes()
+        else:
+            assert got.is_sparse
+            assert got.tokens == union
+        if state == "over_break_even" and n:
+            # Duplicates never densify in the scalar loop; the bulk rule
+            # (either side of the crossover) densifies on the union check.
+            assert scalar.is_sparse
+        else:
+            assert got.to_bytes() == scalar.to_bytes()

@@ -214,3 +214,28 @@ def test_json_export_round_trips():
     assert payload["t.json.counter"]["value"] == 4.0
     hist = payload["t.json.hist"]
     assert hist["count"] == 1 and hist["p50"] is not None
+
+
+# -- fold instrumentation --------------------------------------------------------
+
+
+def test_fold_metrics_count_both_sides_of_the_crossover():
+    """Small batches skip the NumPy fold but still count as folds."""
+    import numpy as np
+
+    from repro.backends.bulk import _SMALL_BATCH
+    from repro.core.exaloglog import ExaLogLog
+
+    rng = np.random.Generator(np.random.PCG64(3))
+    sizes = (1, _SMALL_BATCH - 1, _SMALL_BATCH, 4 * _SMALL_BATCH)
+    with metrics.instrumented():
+        sketch = ExaLogLog(2, 20, 10)
+        for size in sizes:
+            sketch.add_hashes(rng.integers(0, 1 << 64, size=size, dtype=np.uint64))
+        sketch.add_hashes([])  # an empty batch is not a fold
+        assert metrics.REGISTRY.get("backend.hashes_folded").value == sum(sizes)
+        assert metrics.REGISTRY.get("backend.folds").value == len(sizes)
+        batch_sizes = metrics.REGISTRY.get("backend.fold_batch_size")
+        assert batch_sizes.count == len(sizes)
+        assert batch_sizes.sum == sum(sizes)
+        assert metrics.REGISTRY.get("backend.fold_seconds").value > 0

@@ -1,5 +1,7 @@
 """PackedArray: layout exactness and random-operation equivalence."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,3 +126,109 @@ class TestRoundtrips:
     def test_final_byte_zero_padded(self):
         array = PackedArray.from_values(3, [7])
         assert array.to_bytes() == bytes([0b11100000])
+
+
+# -- NumPy codec against the big-integer reference ------------------------------
+
+
+def reference_from_values(width, values):
+    """The big-integer packer: one Python shift-or per value."""
+    count = len(values)
+    size = (width * count + 7) // 8
+    if count == 0:
+        return b""
+    window = 0
+    for value in values:
+        window = (window << width) | value
+    window <<= size * 8 - count * width
+    return window.to_bytes(size, "big")
+
+
+def reference_to_list(width, count, data):
+    """The big-integer unpacker: one shift-and-mask per register."""
+    if count == 0:
+        return []
+    window = int.from_bytes(data, "big")
+    total_bits = len(data) * 8
+    mask = (1 << width) - 1
+    return [(window >> (total_bits - (i + 1) * width)) & mask for i in range(count)]
+
+
+CODEC_COUNTS = (0, 1, 2, 7, 8, 1023, 1024)
+
+
+class TestCodecMatchesReference:
+    @pytest.mark.parametrize("width", range(1, 129))
+    def test_bytes_and_roundtrip(self, width):
+        rng = random.Random(width)
+        for count in CODEC_COUNTS:
+            values = [rng.getrandbits(width) for _ in range(count)]
+            if count >= 2:
+                values[0] = (1 << width) - 1  # every bit set
+                values[-1] = 0
+            data = PackedArray.from_values(width, values).to_bytes()
+            assert data == reference_from_values(width, values), count
+            restored = PackedArray.from_bytes(width, count, data).to_list()
+            assert restored == reference_to_list(width, count, data) == values, count
+
+    @pytest.mark.parametrize("width", [1, 7, 28, 63, 64, 70, 128])
+    @pytest.mark.parametrize("bad", ["negative", "oversized", "huge", "huge_negative"])
+    def test_out_of_range_value_is_named(self, width, bad):
+        value = {
+            "negative": -1,
+            "oversized": 1 << width,
+            "huge": 1 << 200,
+            "huge_negative": -(1 << 200),
+        }[bad]
+        with pytest.raises(ValueError, match=f"value {value} does not fit in {width} bits"):
+            PackedArray.from_values(width, [0, 1, value, 2])
+
+    def test_from_registers_names_the_bad_register(self):
+        from repro.core.exaloglog import ExaLogLog
+        from repro.core.params import make_params
+
+        params = make_params(2, 20, 4)
+        maximum = params.max_register_value
+        for bad in (-1, maximum + 1, 1 << 100):
+            registers = [0] * params.m
+            registers[5] = bad
+            with pytest.raises(ValueError, match=f"register value {bad} out of range"):
+                ExaLogLog.from_registers(params, registers)
+        registers = [maximum] * params.m
+        assert ExaLogLog.from_registers(params, registers).registers == tuple(registers)
+
+
+def _sketches_sharing_packed_array():
+    from repro.baselines.hll_compact4 import HllCompact4
+    from repro.baselines.hyperloglog import HyperLogLog, MartingaleHyperLogLog
+    from repro.baselines.hyperlogloglog import HyperLogLogLog
+    from repro.baselines.pcsa import PCSA
+    from repro.baselines.spikesketch import SpikeSketch
+    from repro.core.martingale import MartingaleExaLogLog
+
+    return [
+        ("HLL", lambda: HyperLogLog(10)),
+        ("HLL8", lambda: HyperLogLog(8, register_width=8)),
+        ("MartingaleHLL", lambda: MartingaleHyperLogLog(8)),
+        ("HLLL", lambda: HyperLogLogLog(10)),
+        ("compact4", lambda: HllCompact4(10)),
+        ("PCSA", lambda: PCSA(8)),
+        ("SpikeSketch", lambda: SpikeSketch(64)),
+        ("MartingaleELL", lambda: MartingaleExaLogLog(2, 20, 6)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [factory for _, factory in _sketches_sharing_packed_array()],
+    ids=[name for name, _ in _sketches_sharing_packed_array()],
+)
+def test_sketch_from_bytes_roundtrip(factory):
+    rng = random.Random(7)
+    sketch = factory()
+    for _ in range(3000):
+        sketch.add_hash(rng.getrandbits(64))
+    data = sketch.to_bytes()
+    restored = type(sketch).from_bytes(data)
+    assert restored.to_bytes() == data
+    assert restored.estimate() == sketch.estimate()

@@ -51,6 +51,19 @@ class TestStats:
         assert payload["reader.durable_lsn"]["value"] == 1.0
         assert payload["estimation.solve_batch_size"]["count"] >= 1
 
+    def test_fold_metrics_count_small_records(self, tmp_path):
+        """WAL records below the fold crossover still count as folds."""
+        directory = str(tmp_path / "small")
+        arguments = ["ingest", directory, "--group", "g", "--count", "5000"]
+        assert main([*arguments, "--batch", "50"]) == 0
+        proc = _run("stats", directory, "--json", env={"REPRO_METRICS": "1"})
+        assert proc.returncode == 0
+        payload = json.loads(proc.stdout)
+        # Replay folds every item once (as a token replay or raw).
+        assert payload["backend.hashes_folded"]["value"] == 5000
+        folds = payload["backend.folds"]["value"]
+        assert folds == payload["backend.fold_batch_size"]["count"] > 50
+
     def test_prometheus_output(self, seeded):
         proc = _run("stats", seeded, "--prom")
         assert proc.returncode == 0
