@@ -101,6 +101,16 @@ def bias_correction_constant(t: int, d: int) -> float:
 
     ``c = ln(b) (1 + 2 b**-d/(b-1)) zeta(3, y) / zeta(2, y)**2`` with
     ``y = 1 + b**-d/(b-1)``.
+
+    This is the derivation behind ``_BIAS_CONSTANT`` in
+    ``repro.core.mlestimation``, which the estimators read instead so that
+    they never import scipy; ``tests/theory/test_mvp.py`` checks every
+    table entry ``==`` this function. After changing the formula, ``MAX_T``
+    or ``MAX_D_BITS``, regenerate the table with
+
+        PYTHONPATH=src python -c "from repro.core.params import MAX_D_BITS, MAX_T; from repro.theory.mvp import bias_correction_constant as c; print(tuple(tuple(c(t, d) for d in range(MAX_D_BITS + 1)) for t in range(MAX_T + 1)))"
+
+    and paste its output over the literal.
     """
     b = base_from_t(t)
     a = b ** (-d) / (b - 1.0)

@@ -182,3 +182,38 @@ class TestCrashRecovery:
             "query", directory, "estimate 'demo'", "--expect", "30000", "--tolerance", "0.2"
         )
         assert recovered.returncode == 0, recovered.stdout + recovered.stderr
+
+
+# Enough items per group that the sparse sketches estimate through the
+# bias-corrected ML solve rather than their small-count shortcut.
+_COLD_PATH = """
+import sys
+import numpy as np
+from repro.aggregate import DistinctCountAggregator
+from repro.query import query
+from repro.store import SketchStore, SnapshotReader
+
+items = np.arange(3000)
+aggregator = DistinctCountAggregator(p=6)
+aggregator.add_batch(items % 2, items)
+assert aggregator.estimates()
+store = SketchStore.open(sys.argv[1], p=6)
+store.append("g", items)
+store.close()
+with SnapshotReader.open(sys.argv[1]) as reader:
+    assert query(reader, "top 10").rows
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_cold_serving_path_never_imports_scipy(tmp_path):
+    """Estimates, the store and the query dialect run without scipy: a
+    top-level theory import would cost every cold query ~0.6 s."""
+    result = subprocess.run(
+        [sys.executable, "-c", _COLD_PATH, str(tmp_path / "s")],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from repro.core import mlestimation
+from repro.core.params import MAX_D_BITS, MAX_T
 from repro.theory.mvp import (
     CONJECTURED_LOWER_BOUND,
     MARTINGALE_COMPRESSED_LIMIT,
@@ -127,6 +129,18 @@ class TestShapes:
     def test_bias_constant_positive(self):
         for t, d in ((0, 0), (0, 2), (1, 9), (2, 16), (2, 20), (2, 24)):
             assert bias_correction_constant(t, d) > 0.0
+
+    def test_bias_constant_table_shape(self):
+        """Widening MAX_T or MAX_D_BITS must fail here, not at estimate time."""
+        table = mlestimation._BIAS_CONSTANT
+        assert len(table) == MAX_T + 1
+        assert all(len(row) == MAX_D_BITS + 1 for row in table)
+
+    def test_bias_constant_table_pins_derivation(self):
+        """The estimators' table holds exactly the derived floats."""
+        for t in range(MAX_T + 1):
+            for d in range(MAX_D_BITS + 1):
+                assert mlestimation._BIAS_CONSTANT[t][d] == bias_correction_constant(t, d), (t, d)
 
     def test_dense_mvp_monotone_beyond_optimum(self):
         values = [mvp_ml_dense(2, d) for d in range(20, 64, 4)]
