@@ -91,10 +91,18 @@ def main() -> None:
                 f"{reader_estimates[key]:>10.1f} {replica_estimates[key]:>10.1f}"
             )
 
-        # Selective replay: one group straight from snapshot + WAL index.
-        print(f"\nselective DE estimate: {reader.estimate_group('DE'):.1f} "
-              f"(equals full view: "
-              f"{reader.estimate_group('DE') == reader.estimate('DE')})")
+        # Point read: a private copy of one group out of the reader's view.
+        sketch = reader.group_sketch("DE")
+        print(f"\npoint-read DE estimate: {sketch.estimate():.1f} "
+              f"(equals full view: {sketch.estimate() == reader.estimate('DE')})")
+
+        # Readers take no lock, but a second writer on the directory is refused.
+        try:
+            SketchStore.open(workdir / "leader")
+        except BlockingIOError as error:
+            print(f"second writer refused: {error}")
+        else:
+            raise AssertionError("a second writer must be refused")
 
         reader.close()
         follower.close()

@@ -432,9 +432,9 @@ class DistinctCountAggregator:
     def read_group_from_bytes(cls, data, key: bytes):
         """Deserialize only ``key``'s sketch from a serialized aggregator.
 
-        The selective-read counterpart of :meth:`from_bytes` for the
-        store's snapshot files: entries are skipped by their length
-        prefixes, so the scan touches no other group's sketch payload —
+        The selective-read counterpart of :meth:`from_bytes`: entries are
+        skipped by their length prefixes, so the scan touches no other
+        group's sketch payload —
         and since :meth:`to_bytes` writes keys in sorted order, the scan
         stops at the first key past the target. Returns ``None`` for an
         absent group. ``data`` may be any buffer (bytes, memoryview over

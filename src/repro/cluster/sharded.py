@@ -163,53 +163,61 @@ class ShardedStore:
         store._auto_compact_bytes = auto_compact_bytes
         store._shards: "list[SketchStore]" = []
         meta = read_meta(store._root)
-        if meta is None:
-            if shards is None:
-                raise ValueError(
-                    f"{store._root}: uninitialised cluster — pass shards=N "
-                    "to create one"
-                )
-            if shards < 1:
-                raise ValueError(f"shards must be >= 1, got {shards}")
-            store._root.mkdir(parents=True, exist_ok=True)
-            for index in range(shards):
-                store._shards.append(
-                    store._open_shard(index, t=t, d=d, p=p, sparse=sparse, seed=seed)
-                )
-            meta = ClusterMeta(
-                shards=shards, epoch=0, config=store._shards[0].config
-            )
-            write_meta(store._root, meta)
-            store._meta = meta
-        else:
-            if shards is not None and shards != meta.shards:
-                raise ValueError(
-                    f"cluster at {store._root} has {meta.shards} shards, "
-                    f"requested {shards} (use rebalance() to change the "
-                    "fan-out)"
-                )
-            mt, md, mp, msparse, mseed = meta.config
-            requested = (t, d, p, sparse, seed)
-            mismatched = [
-                (value, on_disk)
-                for value, on_disk in zip(requested, meta.config)
-                if value is not None and value != on_disk
-            ]
-            if mismatched:
-                raise ValueError(
-                    f"cluster at {store._root} has configuration "
-                    f"(t, d, p, sparse, seed)={meta.config}, requested {requested}"
-                )
-            store._meta = meta
-            for index in range(meta.shards):
-                store._shards.append(
-                    store._open_shard(
-                        index, t=mt, d=md, p=mp, sparse=msparse, seed=mseed
+        try:
+            if meta is None:
+                if shards is None:
+                    raise ValueError(
+                        f"{store._root}: uninitialised cluster — pass shards=N "
+                        "to create one"
                     )
+                if shards < 1:
+                    raise ValueError(f"shards must be >= 1, got {shards}")
+                store._root.mkdir(parents=True, exist_ok=True)
+                for index in range(shards):
+                    store._shards.append(
+                        store._open_shard(
+                            index, t=t, d=d, p=p, sparse=sparse, seed=seed
+                        )
+                    )
+                meta = ClusterMeta(
+                    shards=shards, epoch=0, config=store._shards[0].config
                 )
-            journal = read_journal(store._root)
-            if journal is not None:
-                store._recover_rebalance(journal)
+                write_meta(store._root, meta)
+                store._meta = meta
+            else:
+                if shards is not None and shards != meta.shards:
+                    raise ValueError(
+                        f"cluster at {store._root} has {meta.shards} shards, "
+                        f"requested {shards} (use rebalance() to change the "
+                        "fan-out)"
+                    )
+                mt, md, mp, msparse, mseed = meta.config
+                requested = (t, d, p, sparse, seed)
+                mismatched = [
+                    (value, on_disk)
+                    for value, on_disk in zip(requested, meta.config)
+                    if value is not None and value != on_disk
+                ]
+                if mismatched:
+                    raise ValueError(
+                        f"cluster at {store._root} has configuration "
+                        f"(t, d, p, sparse, seed)={meta.config}, requested {requested}"
+                    )
+                store._meta = meta
+                for index in range(meta.shards):
+                    store._shards.append(
+                        store._open_shard(
+                            index, t=mt, d=md, p=mp, sparse=msparse, seed=mseed
+                        )
+                    )
+                journal = read_journal(store._root)
+                if journal is not None:
+                    store._recover_rebalance(journal)
+        except BaseException:
+            # A refused or failed open must not keep the shards it did open
+            # (and their writer locks).
+            store.close()
+            raise
         store._counters = [
             _metrics.counter(
                 "cluster.append_records",

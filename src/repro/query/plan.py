@@ -18,8 +18,8 @@ Nodes
     All groups of one named source (leaf).
 ``Filter(child, keys= | prefix= | predicate=)``
     Keep only matching group keys. An explicit ``keys`` tuple is the
-    plannable selective form (the planner turns it into WAL-index replay
-    or single-partition reads); ``prefix`` and ``predicate`` filter
+    plannable selective form (the planner turns it into point reads from
+    the view or single-partition reads); ``prefix`` and ``predicate`` filter
     during a scan.
 ``Window(child, duration, end=)``
     Collapse the bucket-keyed groups overlapping the trailing

@@ -12,11 +12,12 @@ Commands
 ``query``
     Run one :mod:`repro.query` dialect query over the store, e.g.
     ``query /tmp/s "top 10 where key startswith 'country:'"`` (default
-    query: ``estimate all``). ``--reader`` answers through a lock-free
-    :class:`~repro.store.reader.SnapshotReader` instead — strictly
-    read-only (never truncates a torn WAL tail), safe against a live
-    writer, and single-key filters go through selective WAL-index
-    replay (``--explain`` shows the chosen access path). ``--expect N
+    query: ``estimate all``). The store opens read-only (its durable
+    prefix, no lock), so a query is safe beside a live writer.
+    ``--reader`` answers through a
+    :class:`~repro.store.reader.SnapshotReader` instead, the same view
+    as a long-running ``serve``; single-key filters copy the group out
+    of the view (``--explain`` shows the chosen access path). ``--expect N
     --tolerance F`` turns a single-row result into a check (exit 1 on
     miss) for smoke tests.
 ``serve``
@@ -31,7 +32,8 @@ Commands
 ``compact``
     Fold the WAL into a fresh snapshot generation.
 ``info``
-    Show generation, LSNs, WAL size, and group count.
+    Show generation, LSNs, WAL size, and group count (a read-only open,
+    safe beside a live writer).
 ``cluster``
     Horizontal sharding (see :mod:`repro.cluster`):
     ``cluster init DIR --shards N`` creates a hash-partitioned cluster,
@@ -46,6 +48,10 @@ Commands
     read pass (replay + refresh + a batched estimate solve) over the
     store, and export every metric — human-readable by default,
     ``--json`` or ``--prom`` (Prometheus text exposition) for machines.
+
+``ingest``, ``compact`` and every ``cluster`` command except ``query``
+open their stores as writers; on a directory whose ``LOCK`` another
+writer holds they exit 1 with a one-line error naming it.
 
 ``serve`` and ``replicate`` emit one structured heartbeat line per
 iteration (``refresh``/``sync`` with ``key=value`` fields including the
@@ -123,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--reader",
         action="store_true",
         help="answer through a lock-free read-only SnapshotReader "
-        "(safe against a live writer; single-key filters use selective "
-        "WAL-index replay)",
+        "(safe against a live writer; a plain query opens the store as "
+        "its writer)",
     )
     query.add_argument(
         "--explain",
@@ -422,11 +428,15 @@ def _run_dialect_query(source, arguments: argparse.Namespace, footer=None) -> in
 def _command_query(arguments: argparse.Namespace) -> int:
     """One dialect query, planned and executed by :mod:`repro.query`.
 
-    The store (or reader, with ``--reader``) binds the plan's default
-    scan; every estimate resolves through the batched one-solve path.
+    The read-only store (or reader, with ``--reader``) binds the plan's
+    default scan; every estimate resolves through the batched one-solve
+    path.
     """
-    opener = SnapshotReader.open if arguments.reader else SketchStore.open
-    with opener(arguments.directory) as source:
+    if arguments.reader:
+        source = SnapshotReader.open(arguments.directory)
+    else:
+        source = SketchStore.open(arguments.directory, read_only=True)
+    with source:
         footer = None
         if arguments.reader:
 
@@ -594,7 +604,8 @@ def _command_compact(arguments: argparse.Namespace) -> int:
 
 
 def _command_info(arguments: argparse.Namespace) -> int:
-    with SketchStore.open(arguments.directory) as store:
+    # Read-only: takes no writer lock, so it works beside a live writer.
+    with SketchStore.open(arguments.directory, read_only=True) as store:
         config = store.aggregator._config
         print(f"directory:   {store.directory}")
         print(f"config:      t={config[0]} d={config[1]} p={config[2]} sparse={config[3]} seed={config[4]}")
@@ -749,6 +760,10 @@ def main(argv: "list[str] | None" = None) -> int:
         # consumer's choice, not an error.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except BlockingIOError as error:
+        # Another process holds a store's writer lock.
+        print(f"{arguments.command}: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -32,10 +32,9 @@ Consistency model:
 * any number of readers may run against one writer, each at its own
   horizon, with no locks anywhere.
 
-Selective replay: :meth:`SnapshotReader.group_sketch` reconstructs a
-single group without replaying the whole log, by seeking to that group's
-records via the group-level WAL index (:mod:`repro.store.walindex`) and
-scanning only the small unindexed tail.
+Point reads (:meth:`SnapshotReader.group_sketch`) copy the group out of
+that view: sketch state is small, so a copy costs far less than any
+re-read of the files.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from typing import Hashable, Iterator
 
 from repro.aggregate import DistinctCountAggregator
 from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
 from repro.storage.serialization import (
     IncompleteRecordError,
     SerializationError,
@@ -64,7 +62,6 @@ from repro.store.sketchstore import (
     apply_wal_record,
     latest_generation,
     snapshot_path,
-    wal_index_path,
     wal_path,
 )
 
@@ -169,7 +166,6 @@ class SnapshotReader:
         reader._generation = -1
         reader._base_lsn = 0
         reader._durable_lsn = 0
-        reader._index_cache = None
         reader._last_refresh_at = None
         last_error: Exception | None = None
         for _ in range(_OPEN_RETRIES):
@@ -385,151 +381,10 @@ class SnapshotReader:
         """The ``count`` groups with the largest estimates (argpartition)."""
         return self._aggregator.top(count)
 
-    # -- selective single-group replay ----------------------------------------
-
     def group_sketch(self, group: Hashable):
-        """Reconstruct one group's sketch via the group-level WAL index.
-
-        Starts from the snapshot's copy of the group and applies only
-        that group's WAL records: indexed records by direct seek, plus a
-        scan of the unindexed tail (the index is advisory and may lag the
-        log — see :mod:`repro.store.walindex`). At any quiesced point the
-        result is bit-identical to the full-log replay this reader's
-        ``aggregator`` performs; records past this view's durable horizon
-        are deliberately excluded so the two stay comparable.
-
-        Returns ``None`` for a group with no state at this horizon.
-        Compaction-safe: should the writer sweep this generation's files
-        mid-query, the answer falls back to the already-materialised view
-        (which is the same state at this horizon, just not selectively
-        rebuilt).
-        """
-        key = DistinctCountAggregator._group_key(group)
-        try:
-            return self._group_sketch_selective(key)
-        except FileNotFoundError:
-            # The writer compacted this generation away between our tail
-            # and this query; the tailed view itself is still a correct
-            # (and complete) answer at this horizon.
-            sketch = self._aggregator._groups.get(key)
-            return sketch.copy() if sketch is not None else None
-
-    def _group_sketch_selective(self, key: bytes):
-        from repro.store.walindex import scan_floor
-
-        scratch = DistinctCountAggregator(*self._aggregator._config)
-        sketch = self._read_snapshot_group(key)
-        base_lsn = self._base_lsn
-        if sketch is not None:
-            scratch._groups[key] = sketch
-        index = self._load_group_index()
-        applied = set()
-        try:
-            handle = open(wal_path(self._directory, self._generation), "rb")
-        except FileNotFoundError:
-            if self._durable_lsn == base_lsn:
-                return scratch._groups.get(key)  # nothing was ever tailed
-            raise  # tailed records exist but their log is gone: fall back
-        with handle:
-            _check_file_header(
-                handle.read(_FILE_HEADER_BYTES), TAG_WAL, handle.name
-            )
-            for entry in index.get(key, ()):
-                if not base_lsn < entry.lsn <= self._durable_lsn:
-                    continue
-                handle.seek(entry.offset)
-                try:
-                    record = read_lsn_record_from(handle)
-                except IncompleteRecordError:
-                    continue  # entry points past the durable prefix
-                if record is None:
-                    continue
-                lsn, kind, record_key, payload = record
-                if lsn != entry.lsn or record_key != key:
-                    raise SerializationError(
-                        f"WAL index entry (lsn={entry.lsn}, "
-                        f"offset={entry.offset}) does not match the "
-                        f"record found there (lsn={lsn})"
-                    )
-                apply_wal_record(scratch, kind, key, payload)
-                applied.add(lsn)
-            # Unindexed tail: records the index has not caught up to.
-            handle.seek(max(scan_floor(index), _FILE_HEADER_BYTES))
-            while True:
-                try:
-                    record = read_lsn_record_from(handle)
-                except IncompleteRecordError:
-                    break
-                if record is None:
-                    break
-                lsn, kind, record_key, payload = record
-                if record_key != key or lsn in applied:
-                    continue
-                if not base_lsn < lsn <= self._durable_lsn:
-                    continue
-                apply_wal_record(scratch, kind, key, payload)
-                applied.add(lsn)
-        return scratch._groups.get(key)
-
-    def _load_group_index(self):
-        """The generation's WAL index, cached on (generation, file size).
-
-        Repeat selective queries against an unchanged index skip the
-        re-parse; any append to the index (or a generation switch) grows
-        the size and invalidates the cache.
-        """
-        from repro.store.walindex import load_wal_index
-
-        path = wal_index_path(self._directory, self._generation)
-        try:
-            size = os.path.getsize(path)
-        except FileNotFoundError:
-            size = -1
-        cached = self._index_cache
-        if (
-            cached is not None
-            and cached[0] == self._generation
-            and cached[1] == size
-        ):
-            return cached[2]
-        index = load_wal_index(path)
-        self._index_cache = (self._generation, size, index)
-        return index
-
-    def _read_snapshot_group(self, key: bytes):
-        """One group's sketch out of this generation's (immutable) snapshot.
-
-        Unlike :func:`_load_snapshot_mmap` this never materialises the
-        other groups: entries are skipped by their length prefixes on the
-        mapping, so selective replay stays selective on the snapshot side
-        too.
-        """
-        path = snapshot_path(self._directory, self._generation)
-        with open(path, "rb") as handle:
-            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-            try:
-                offset = _check_file_header(
-                    mapped[:_FILE_HEADER_BYTES], TAG_SNAPSHOT, path
-                )
-                _generation, offset = read_uvarint(mapped, offset)
-                _base_lsn, offset = read_uvarint(mapped, offset)
-                view = memoryview(mapped)
-                try:
-                    return DistinctCountAggregator.read_group_from_bytes(
-                        view[offset:], key
-                    )
-                finally:
-                    view.release()
-            finally:
-                try:
-                    mapped.close()
-                except BufferError:  # see _load_snapshot_mmap
-                    pass
-
-    def estimate_group(self, group: Hashable) -> float:
-        """One group's estimate via selective replay (0 for unseen groups)."""
-        sketch = self.group_sketch(group)
-        return sketch.estimate() if sketch is not None else 0.0
+        """A private copy of one group's sketch at this reader's horizon
+        (``None`` for a group with no state there)."""
+        return self._aggregator.group_sketch(group)
 
     # -- lifecycle -------------------------------------------------------------
 

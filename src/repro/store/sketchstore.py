@@ -12,8 +12,11 @@ Directory layout (``gen`` is the zero-padded compaction generation)::
       snapshot-<gen>.bin   header 0x42 | uvarint gen | uvarint base_lsn
                            | aggregator blob
       wal-<gen>.log        header 0x41 | LSN-stamped checksummed records
-      walidx-<gen>.log     header 0x44 | group-level index (advisory,
-                           see :mod:`repro.store.walindex`)
+      LOCK                 empty; the writer holds an exclusive ``flock``
+
+A writer-mode open refuses a directory whose ``LOCK`` another writer
+holds, and sweeps the group-index sidecars (tag 0x44) that older
+versions wrote beside each WAL.
 
 Each WAL record uses the LSN framing of
 :func:`repro.storage.serialization.write_lsn_record` with two record kinds:
@@ -64,11 +67,12 @@ loading garbage. :meth:`compact` folds the WAL into a fresh snapshot
 
 from __future__ import annotations
 
+import fcntl
 import os
 import pathlib
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Hashable, Iterator
 
 import numpy as np
@@ -126,7 +130,8 @@ _REPLAY_RECORDS = _metrics.counter(
 
 _SNAPSHOT_PATTERN = re.compile(r"^snapshot-(\d{8})\.bin$")
 _WAL_PATTERN = re.compile(r"^wal-(\d{8})\.log$")
-_WALIDX_PATTERN = re.compile(r"^walidx-(\d{8})\.log$")
+# Legacy group-index sidecars: swept by every writer-mode open.
+_WALIDX_PATTERN = re.compile(r"^walidx-\d{8}\.log$")
 
 _FILE_HEADER_BYTES = 4
 
@@ -152,10 +157,6 @@ def snapshot_path(directory, generation: int) -> pathlib.Path:
 
 def wal_path(directory, generation: int) -> pathlib.Path:
     return pathlib.Path(directory) / f"wal-{generation:08d}.log"
-
-
-def wal_index_path(directory, generation: int) -> pathlib.Path:
-    return pathlib.Path(directory) / f"walidx-{generation:08d}.log"
 
 
 def latest_generation(directory) -> "int | None":
@@ -220,10 +221,6 @@ class WalReplay:
     last_lsn: int = 0
     """LSN of the last applied record (the caller's ``base_lsn`` if none)."""
 
-    entries: list = field(default_factory=list)
-    """``(key, lsn, offset, length)`` of every applied record, in order —
-    exactly what :func:`repro.store.walindex.rebuild_wal_index` wants."""
-
 
 def replay_wal(
     path, aggregator: DistinctCountAggregator, base_lsn: int = 0
@@ -263,7 +260,6 @@ def replay_wal(
             replay.records += 1
             replay.last_lsn = lsn
             replay.durable_bytes = handle.tell()
-            replay.entries.append((key, lsn, start, replay.durable_bytes - start))
     return replay
 
 
@@ -338,9 +334,14 @@ class SketchStore:
     + fresh log), so recovery time stays proportional to the threshold,
     not to the total ingest history.
 
+    One writer per directory: a writer-mode open takes an exclusive,
+    non-blocking ``flock`` on ``<dir>/LOCK`` (released by :meth:`close`)
+    and raises :class:`BlockingIOError` naming the directory while another
+    writer holds it.
+
     ``read_only=True`` opens a *foreign* store without mutating anything:
-    no directory creation, no torn-tail truncation, no stale-generation
-    sweep, no index rebuild — safe against a live writer's files. The
+    no directory creation, no lock, no torn-tail truncation, no
+    stale-generation sweep — safe against a live writer's files. The
     loaded state is the durable prefix at open time; for an incrementally
     refreshing view use :class:`repro.store.reader.SnapshotReader`.
     """
@@ -380,39 +381,46 @@ class SketchStore:
         store._auto_compact_bytes = auto_compact_bytes
         store._read_only = read_only
         store._wal_handle = None
-        store._index_writer = None
+        store._lock_handle = None
         if not read_only:
             store._directory.mkdir(parents=True, exist_ok=True)
+            store._lock()
         elif not store._directory.is_dir():
             raise FileNotFoundError(
                 f"read-only open of missing store directory {store._directory}"
             )
+        try:
+            store._recover((t, d, p, sparse, seed))
+        except BaseException:
+            store.close()
+            raise
+        return store
 
-        requested = (t, d, p, sparse, seed)
-        generation = latest_generation(store._directory)
+    def _recover(self, requested: tuple) -> None:
+        """Load the newest snapshot and replay its WAL (or initialise)."""
+        generation = latest_generation(self._directory)
         if generation is None:
-            if read_only:
+            if self._read_only:
                 raise SerializationError(
-                    f"{store._directory}: no snapshot found (uninitialised store)"
+                    f"{self._directory}: no snapshot found (uninitialised store)"
                 )
             defaults = (2, 20, 8, True, 0)
             config = tuple(
                 value if value is not None else default
                 for value, default in zip(requested, defaults)
             )
-            store._generation = 0
-            store._base_lsn = 0
-            store._durable_lsn = 0
-            store._aggregator = DistinctCountAggregator(*config)
-            store._write_snapshot(0)
-            store._wal_records = 0
-            store._open_wal(truncate_to=None)
-            store._open_index(rebuild_from=[])
+            self._generation = 0
+            self._base_lsn = 0
+            self._durable_lsn = 0
+            self._aggregator = DistinctCountAggregator(*config)
+            self._write_snapshot(0)
+            self._wal_records = 0
+            self._open_wal(truncate_to=None)
         else:
-            store._generation = generation
-            store._aggregator, store._base_lsn = store._load_snapshot(generation)
-            store._durable_lsn = store._base_lsn
-            persisted = store._aggregator._config
+            self._generation = generation
+            self._aggregator, self._base_lsn = self._load_snapshot(generation)
+            self._durable_lsn = self._base_lsn
+            persisted = self._aggregator._config
             mismatched = [
                 (value, on_disk)
                 for value, on_disk in zip(requested, persisted)
@@ -420,26 +428,23 @@ class SketchStore:
             ]
             if mismatched:
                 raise ValueError(
-                    f"store at {store._directory} has configuration "
+                    f"store at {self._directory} has configuration "
                     f"(t, d, p, sparse, seed)={persisted}, requested {requested}"
                 )
-            path_ = wal_path(store._directory, generation)
+            path_ = wal_path(self._directory, generation)
             if path_.exists():
-                replay = replay_wal(path_, store._aggregator, store._base_lsn)
-                store._wal_records = replay.records
-                store._durable_lsn = replay.last_lsn
+                replay = replay_wal(path_, self._aggregator, self._base_lsn)
+                self._wal_records = replay.records
+                self._durable_lsn = replay.last_lsn
                 _REPLAY_RECORDS.inc(replay.records)
-                if not read_only:
-                    store._open_wal(truncate_to=replay.durable_bytes)
-                    store._open_index(rebuild_from=replay.entries)
+                if not self._read_only:
+                    self._open_wal(truncate_to=replay.durable_bytes)
             else:
-                store._wal_records = 0
-                if not read_only:
-                    store._open_wal(truncate_to=None)
-                    store._open_index(rebuild_from=[])
-            if not read_only:
-                store._sweep_stale(generation)
-        return store
+                self._wal_records = 0
+                if not self._read_only:
+                    self._open_wal(truncate_to=None)
+            if not self._read_only:
+                self._sweep_stale(generation)
 
     # -- paths ----------------------------------------------------------------
 
@@ -449,15 +454,25 @@ class SketchStore:
     def _wal_path(self, generation: int) -> pathlib.Path:
         return wal_path(self._directory, generation)
 
+    def _lock(self) -> None:
+        """Take the directory's exclusive writer lock, or refuse the open."""
+        handle = open(self._directory / "LOCK", "ab")
+        try:
+            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            handle.close()
+            raise BlockingIOError(
+                f"{self._directory}: another writer holds the store lock"
+            ) from None
+        self._lock_handle = handle
+
     def _sweep_stale(self, generation: int) -> None:
-        """Delete files a crashed compaction left behind (older generations)."""
+        """Delete older generations a crashed compaction left behind, and
+        any legacy group-index sidecar."""
         for entry in os.listdir(self._directory):
-            match = (
-                _SNAPSHOT_PATTERN.match(entry)
-                or _WAL_PATTERN.match(entry)
-                or _WALIDX_PATTERN.match(entry)
-            )
-            if match and int(match.group(1)) < generation:
+            match = _SNAPSHOT_PATTERN.match(entry) or _WAL_PATTERN.match(entry)
+            stale = match is not None and int(match.group(1)) < generation
+            if stale or _WALIDX_PATTERN.match(entry):
                 (self._directory / entry).unlink()
 
     # -- snapshot & WAL files -------------------------------------------------
@@ -507,13 +522,6 @@ class SketchStore:
                 handle.truncate(truncate_to)
         self._wal_handle = open(path, "ab")
 
-    def _open_index(self, rebuild_from: list) -> None:
-        from repro.store.walindex import WalIndexWriter, rebuild_wal_index
-
-        path = wal_index_path(self._directory, self._generation)
-        rebuild_wal_index(path, rebuild_from)
-        self._index_writer = WalIndexWriter(path)
-
     def _sync_directory(self) -> None:
         if os.name == "posix":
             fd = os.open(self._directory, os.O_RDONLY)
@@ -530,7 +538,6 @@ class SketchStore:
         lsn = self._durable_lsn + 1
         buffer = bytearray()
         write_lsn_record(buffer, lsn, kind, key, payload)
-        offset = self._wal_handle.tell()
         self._wal_handle.write(buffer)
         self._wal_handle.flush()
         if self._fsync:
@@ -545,11 +552,6 @@ class SketchStore:
         if _metrics.enabled():
             _WAL_APPEND_BYTES.inc(len(buffer))
             _WAL_APPEND_RECORDS.inc()
-        # The index entry goes *after* the WAL bytes are out: the index may
-        # lag the log (readers scan the unindexed tail) but must never
-        # point past it.
-        if self._index_writer is not None:
-            self._index_writer.append(key, lsn, offset, len(buffer))
 
     def _maybe_auto_compact(self) -> None:
         """Compact when the WAL outgrew its bound.
@@ -724,14 +726,11 @@ class SketchStore:
         started = time.perf_counter()
         with _trace.span("store.compact", generation=self._generation + 1):
             self._wal_handle.close()
-            if self._index_writer is not None:
-                self._index_writer.close()
             self._generation += 1
             self._write_snapshot(self._generation)
             self._wal_records = 0
             self._wal_handle = None
             self._open_wal(truncate_to=None)
-            self._open_index(rebuild_from=[])
             self._sweep_stale(self._generation)
         if _metrics.enabled():
             _COMPACTIONS.inc()
@@ -739,15 +738,18 @@ class SketchStore:
         return self._generation
 
     def close(self) -> None:
-        """Flush and close the WAL handle (no compaction)."""
+        """Flush and close the WAL handle and release the writer lock."""
         if self._wal_handle is not None:
             self._wal_handle.flush()
             os.fsync(self._wal_handle.fileno())
             self._wal_handle.close()
             self._wal_handle = None
-        if self._index_writer is not None:
-            self._index_writer.close()
-            self._index_writer = None
+        if self._lock_handle is not None:
+            # Unlock explicitly: a forked child that inherited the
+            # descriptor would otherwise keep the lock alive.
+            fcntl.flock(self._lock_handle, fcntl.LOCK_UN)
+            self._lock_handle.close()
+            self._lock_handle = None
 
     def __enter__(self) -> "SketchStore":
         return self

@@ -281,13 +281,14 @@ def test_planner_describes_cluster(tmp_path):
 
 
 def test_reader_backed_cluster_selective_path(tmp_path):
-    """Reader members make the cluster *not* cheap-selective (WAL replay)."""
+    """Reader members answer point reads from their views, so a
+    reader-backed cluster is cheap-selective too."""
     from repro.query.planner import has_cheap_selective
 
     with _fill(ShardedStore.open(tmp_path / "c", shards=2, p=8)):
         pass
     with ClusterSource.open(tmp_path / "c", reader=True) as readers:
-        assert not has_cheap_selective(readers)
+        assert has_cheap_selective(readers)
 
 
 # -- CLI -----------------------------------------------------------------------

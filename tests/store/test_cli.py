@@ -49,6 +49,36 @@ class TestInProcess:
         output = capsys.readouterr().out
         assert "generation:  1" in output
 
+    def test_info_beside_a_live_writer(self, tmp_path, capsys):
+        from repro.store import SketchStore
+
+        with SketchStore.open(tmp_path / "s") as writer:
+            writer.append("g", ["a", "b"])
+            assert main(["info", str(tmp_path / "s")]) == 0
+        assert "durable lsn: 1" in capsys.readouterr().out
+
+    def test_writer_commands_beside_a_live_writer(self, tmp_path, capsys):
+        from repro.cluster import ShardedStore
+        from repro.store import SketchStore
+
+        directory = tmp_path / "s"
+        with SketchStore.open(directory) as writer:
+            writer.append("g", ["a", "b"])
+            # A plain query opens read-only and sees the durable prefix.
+            assert main(["query", str(directory), "estimate 'g'"]) == 0
+            assert "g\t" in capsys.readouterr().out
+            # A second writer is refused with one line, not a traceback.
+            assert main(["compact", str(directory)]) == 1
+            error = capsys.readouterr().err
+            assert error.strip() == (
+                f"compact: {directory}: another writer holds the store lock"
+            )
+        root = tmp_path / "c"
+        with ShardedStore.open(root, shards=2, p=8):
+            assert main(["cluster", "status", str(root)]) == 1
+            assert "another writer holds the store lock" in capsys.readouterr().err
+        assert main(["cluster", "status", str(root)]) == 0
+
     def test_default_query_lists_every_group(self, tmp_path, capsys):
         directory = str(tmp_path / "s")
         main(["ingest", directory, "--group", "alpha", "--count", "3000"])

@@ -1,10 +1,10 @@
-"""SnapshotReader: lock-free reads, refresh semantics, selective replay."""
+"""SnapshotReader: lock-free reads, refresh semantics, point reads."""
 
 import numpy as np
 import pytest
 
 from repro.storage.serialization import SerializationError
-from repro.store import SketchStore, SnapshotReader, wal_index_path, wal_path
+from repro.store import SketchStore, SnapshotReader, wal_path
 
 
 def _hashes(seed, count):
@@ -84,43 +84,17 @@ def test_reader_without_wal_file_serves_snapshot(tmp_path):
         assert round(reader.estimate("DE")) > 0
 
 
-def test_selective_replay_without_index(tmp_path):
-    """A missing index degrades selective replay to a scan, not an error."""
-    with SketchStore.open(tmp_path / "s") as store:
-        store.append_hashes("DE", _hashes(9, 300))
-        store.append_hashes("AT", _hashes(10, 40))
-        store.append_hashes("DE", _hashes(11, 30))
-        expected = store.aggregator._groups[b"DE"].to_bytes()
-    wal_index_path(tmp_path / "s", 0).unlink()
-    with SnapshotReader.open(tmp_path / "s") as reader:
-        assert reader.group_sketch("DE").to_bytes() == expected
-
-
-def test_selective_replay_with_lagging_index(tmp_path):
-    """Index truncated behind the WAL: the unindexed tail is scanned."""
-    with SketchStore.open(tmp_path / "s") as store:
-        store.append_hashes("DE", _hashes(12, 300))
-        store.append_hashes("DE", _hashes(13, 200))
-        store.append_hashes("AT", _hashes(14, 10))
-        expected = store.aggregator._groups[b"DE"].to_bytes()
-    index_file = wal_index_path(tmp_path / "s", 0)
-    data = index_file.read_bytes()
-    index_file.write_bytes(data[: len(data) // 2])  # lose the later entries
-    with SnapshotReader.open(tmp_path / "s") as reader:
-        assert reader.group_sketch("DE").to_bytes() == expected
-        assert reader.estimate_group("FR") == 0.0
-
-
 def test_selective_replay_respects_horizon(tmp_path):
-    """Records past the reader's horizon are excluded from selective replay."""
+    """Point reads answer at the reader's horizon, not the writer's."""
     with SketchStore.open(tmp_path / "s") as store:
         store.append_hashes("DE", _hashes(15, 200))
         with SnapshotReader.open(tmp_path / "s") as reader:
             before = reader.group_sketch("DE").to_bytes()
             store.append_hashes("DE", _hashes(16, 200))
-            # No refresh: the selective replay must match the *old* view.
+            # No refresh: the point read must match the *old* view.
             assert reader.group_sketch("DE").to_bytes() == before
             assert before == reader.aggregator._groups[b"DE"].to_bytes()
+            assert reader.estimate("FR") == 0.0
             reader.refresh()
             assert (
                 reader.group_sketch("DE").to_bytes()
@@ -174,9 +148,9 @@ def test_reader_rejects_corrupt_snapshot(tmp_path):
 
 
 def test_group_sketch_survives_concurrent_sweep(tmp_path):
-    """Selective replay falls back to the tailed view when the writer
-    sweeps this generation's files mid-query — never a crash, never a
-    silently stale (snapshot-only) answer."""
+    """Point reads keep answering from the tailed view when the writer
+    sweeps this generation's files — never a crash, never a silently
+    stale (snapshot-only) answer."""
     with SketchStore.open(tmp_path / "s") as store:
         store.append_hashes("DE", _hashes(21, 200))
         store.compact()
@@ -193,12 +167,15 @@ def test_group_sketch_survives_concurrent_sweep(tmp_path):
 
 
 def test_group_sketch_index_cache_tracks_appends(tmp_path):
-    """The cached index invalidates when the writer appends more records."""
+    """Repeat point reads are stable, and follow the view on refresh."""
     with SketchStore.open(tmp_path / "s") as store:
         store.append_hashes("DE", _hashes(23, 100))
         with SnapshotReader.open(tmp_path / "s") as reader:
             first = reader.group_sketch("DE").to_bytes()
-            assert reader.group_sketch("DE").to_bytes() == first  # cache hit
+            assert reader.group_sketch("DE").to_bytes() == first
+            # A private copy: folding into it leaves the view alone.
+            reader.group_sketch("DE").add_hashes(_hashes(25, 100))
+            assert reader.group_sketch("DE").to_bytes() == first
             store.append_hashes("DE", _hashes(24, 100))
             reader.refresh()
             assert (

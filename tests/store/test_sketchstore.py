@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from repro.aggregate import DistinctCountAggregator
+from repro.cluster import ShardedStore
 from repro.core.exaloglog import ExaLogLog
 from repro.core.sparse import SparseExaLogLog
 from repro.storage.serialization import SerializationError
-from repro.store import SketchStore
+from repro.store import SketchStore, SnapshotReader
 
 
 def _hashes(seed, count):
@@ -178,9 +179,9 @@ class TestCompaction:
             assert store.aggregator.to_bytes() == blob
         names = sorted(p.name for p in (tmp_path / "s").iterdir())
         assert names == [
+            "LOCK",
             "snapshot-00000001.bin",
             "wal-00000001.log",
-            "walidx-00000001.log",
         ]
         with SketchStore.open(tmp_path / "s") as reopened:
             assert reopened.generation == 1
@@ -219,9 +220,9 @@ class TestCompaction:
             assert store.generation == 1
         names = sorted(p.name for p in (tmp_path / "s").iterdir())
         assert names == [
+            "LOCK",
             "snapshot-00000001.bin",
             "wal-00000001.log",
-            "walidx-00000001.log",
         ]
 
 
@@ -237,3 +238,65 @@ class TestCorruption:
         (tmp_path / "s" / "wal-00000000.log").write_bytes(b"XXXXXXXX")
         with pytest.raises(SerializationError):
             SketchStore.open(tmp_path / "s")
+
+
+class TestWriterLock:
+    def test_second_writer_is_refused(self, tmp_path):
+        """Two writers on one directory used to interleave LSNs and leave a
+        store that no longer opens; the second open is now refused."""
+        with SketchStore.open(tmp_path / "s") as first:
+            first.append_hashes("DE", BATCHES[0][1])
+            with pytest.raises(BlockingIOError) as excinfo:
+                SketchStore.open(tmp_path / "s")
+            assert str(tmp_path / "s") in str(excinfo.value)
+            first.append_hashes("AT", BATCHES[1][1])
+        with SketchStore.open(tmp_path / "s") as reopened:
+            assert reopened.durable_lsn == 2
+            assert reopened.aggregator.to_bytes() == _reference(
+                BATCHES[:2]
+            ).to_bytes()
+
+    def test_read_only_opens_skip_the_lock(self, tmp_path):
+        with SketchStore.open(tmp_path / "s") as writer:
+            writer.append_hashes("DE", BATCHES[0][1])
+            with SketchStore.open(tmp_path / "s", read_only=True) as view:
+                assert view.durable_lsn == 1
+            with SnapshotReader.open(tmp_path / "s") as reader:
+                assert reader.durable_lsn == 1
+
+    def test_failed_open_releases_the_lock(self, tmp_path):
+        SketchStore.open(tmp_path / "s", p=8).close()
+        with pytest.raises(ValueError, match="configuration") as excinfo:
+            SketchStore.open(tmp_path / "s", p=10)
+        # The traceback (and its frames) are still alive here.
+        assert excinfo.value is not None
+        SketchStore.open(tmp_path / "s").close()
+
+    def test_close_releases_a_lock_a_forked_child_inherited(self, tmp_path):
+        store = SketchStore.open(tmp_path / "s")
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # child: hold the inherited descriptor until told
+            os.close(write_end)
+            os.read(read_end, 1)
+            os._exit(0)
+        os.close(read_end)
+        try:
+            store.close()
+            SketchStore.open(tmp_path / "s").close()
+        finally:
+            os.close(write_end)
+            os.waitpid(pid, 0)
+
+    def test_refused_cluster_open_keeps_no_shard_locks(self, tmp_path):
+        ShardedStore.open(tmp_path / "c", shards=3, p=8).close()
+        holder = SketchStore.open(tmp_path / "c" / "shard-0002")
+        with pytest.raises(BlockingIOError, match="shard-0002") as excinfo:
+            ShardedStore.open(tmp_path / "c")
+        holder.close()
+        # Shards 0 and 1 were opened before the refusal and are released,
+        # even while the traceback (and its frames) are still alive.
+        assert excinfo.value is not None
+        SketchStore.open(tmp_path / "c" / "shard-0000").close()
+        SketchStore.open(tmp_path / "c" / "shard-0001").close()
+        ShardedStore.open(tmp_path / "c").close()

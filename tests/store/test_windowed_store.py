@@ -69,7 +69,9 @@ class TestRetirement:
             window=10.0, buckets=5, p=8, store=store
         )
         _drive(counter, 60)
-        del store  # no close(): recovery must come from the WAL
+        # No close(): recovery must come from the WAL. The counter holds
+        # the writer too, so drop both before the recovering open.
+        del store, counter
         recovered = SketchStore.open(tmp_path / "s")
         assert len(recovered) == 25
         assert _store_history_estimate(recovered) > 0
